@@ -13,14 +13,16 @@
 //! * **multi-process** — one role per process ([`run_role`]), bytes
 //!   only, for actually standing a decoupled deployment up.
 //!
-//! The engine is deliberately minimal: nonblocking sockets polled by a
-//! thread-per-role loop, length-prefixed frames reusing the
-//! `dcp-transport` wire format, a bounded connection set whose cap *is*
-//! the accept backpressure, and graceful shutdown driven by initiator
-//! completion. What it is not minimal about is failure: every byte
-//! arriving from a socket is treated as hostile until decoded, and every
-//! decode failure closes exactly one connection — nothing in this crate
-//! panics on wire input.
+//! The engine is deliberately minimal and event-driven, on `std` alone:
+//! each role thread blocks on an inbox fed by a blocking accept thread
+//! and one blocking reader thread per connection, so a frame is handled
+//! the moment it arrives and an idle host sleeps in the kernel. Frames
+//! are length-prefixed in the `dcp-transport` wire format; the accept
+//! thread's connection cap *is* the backpressure; shutdown is driven by
+//! initiator completion and joins every thread. What it is not minimal
+//! about is failure: every byte arriving from a socket is treated as
+//! hostile until decoded, and every decode failure closes exactly one
+//! connection — nothing in this crate panics on wire input.
 //!
 //! See `docs/SERVE.md` for the operator view and `docs/ARCHITECTURE.md`
 //! for how the sim/prod duality is kept honest.
@@ -40,7 +42,7 @@ pub use engine::{run_loopback, run_role, ServeConfig};
 #[derive(Debug)]
 pub enum ServeError {
     /// An OS-level socket failure on the host's own infrastructure
-    /// (bind, accept bookkeeping, writing to a peer we initiated).
+    /// (bind, setting up a dialed connection, writing to a peer).
     /// Failures on *inbound* connections never surface here — they
     /// close that connection and the run continues.
     Io(std::io::Error),

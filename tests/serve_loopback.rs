@@ -5,12 +5,15 @@
 //! bytes, both in-process (proptest against `FrameReader`) and on a live
 //! socket (a rogue connection spraying garbage mid-run).
 
+use std::sync::{Arc, Barrier};
 use std::time::Duration;
 
+use dcp_core::role::RoleKind;
 use dcp_core::Scenario;
 use dcp_faults::dst::KnowledgeFingerprint;
 use dcp_odns::serve::odoh_serve_spec;
 use dcp_odns::{Odoh, OdohConfig};
+use dcp_runtime::seam::{PeerId, WireCtx, WireMsg, WireRole};
 use dcp_serve::{run_loopback, FrameReader, ServeConfig, MAX_FRAME_PAYLOAD};
 use proptest::prelude::*;
 
@@ -22,20 +25,28 @@ fn serve_cfg(seed: u64) -> ServeConfig {
     }
 }
 
+/// The simulated twin's knowledge tables, JSON-serialized so comparisons
+/// are literal bytes, not just `PartialEq`.
+fn simulated_fingerprint(cfg: &OdohConfig, seed: u64) -> String {
+    serde_json::to_string(&KnowledgeFingerprint::of(&Odoh::run(cfg, seed).world)).unwrap()
+}
+
 /// Serve a config over loopback TCP and compare against the simulated
-/// twin. JSON-serializing both fingerprints makes the comparison literal
-/// bytes, not just `PartialEq`.
+/// twin.
 fn assert_twin(cfg: OdohConfig, seed: u64) {
-    let outcome = run_loopback(odoh_serve_spec(&cfg, seed), &serve_cfg(seed)).expect("serve runs");
+    assert_twin_served(cfg, seed, &serve_cfg(seed));
+}
+
+fn assert_twin_served(cfg: OdohConfig, seed: u64, serve: &ServeConfig) {
+    let outcome = run_loopback(odoh_serve_spec(&cfg, seed), serve).expect("serve runs");
     assert_eq!(
         outcome.completed_units, outcome.expected_units,
         "every query answered over real sockets"
     );
     let served = serde_json::to_string(&KnowledgeFingerprint::of(&outcome.world)).unwrap();
-    let sim_report = Odoh::run(&cfg, seed);
-    let simmed = serde_json::to_string(&KnowledgeFingerprint::of(&sim_report.world)).unwrap();
     assert_eq!(
-        served, simmed,
+        served,
+        simulated_fingerprint(&cfg, seed),
         "served knowledge tables must be byte-identical to the simulated twin"
     );
 }
@@ -109,6 +120,140 @@ fn rogue_connections_cannot_perturb_the_tables() {
     assert_eq!(
         under_attack, clean_fp,
         "hostile connections must not change what anyone learned"
+    );
+}
+
+#[test]
+fn accept_cap_does_not_starve_legitimate_peers() {
+    // The proxy is the only ODoH role with more than one inbound peer.
+    // At a cap of two its accept thread stops calling accept(2) once two
+    // clients are connected. With three clients the third waits in the
+    // kernel backlog until a finished client's connection closes; every
+    // run must still answer everything with the twin's tables.
+    let capped = |seed| ServeConfig {
+        max_conns: 2,
+        ..serve_cfg(seed)
+    };
+    assert_twin_served(OdohConfig::new(1, 4), 7, &capped(7));
+    assert_twin_served(OdohConfig::new(2, 4), 42, &capped(42));
+    assert_twin_served(OdohConfig::new(3, 4), 1004, &capped(1004));
+}
+
+/// Holds a client's first query until `go` opens, so a test can act on
+/// live listeners before any protocol traffic.
+struct HeldStart {
+    inner: Box<dyn WireRole>,
+    go: Arc<Barrier>,
+}
+
+impl WireRole for HeldStart {
+    fn on_start(&mut self, ctx: &mut WireCtx) {
+        self.go.wait();
+        self.inner.on_start(ctx);
+    }
+
+    fn on_frame(&mut self, ctx: &mut WireCtx, from: PeerId, msg: WireMsg) {
+        self.inner.on_frame(ctx, from, msg);
+    }
+
+    fn finished(&self) -> bool {
+        self.inner.finished()
+    }
+}
+
+#[test]
+fn stalled_rogue_peers_cannot_hold_shutdown_hostage() {
+    // Strangers that connect and never send, and one that sends a Data
+    // header claiming 1000 bytes and then stalls. Each pins a reader
+    // thread blocked in read(2) for the whole run; shutdown has to wake
+    // them all, or the run never returns.
+    use std::io::{Read, Write};
+    use std::net::TcpStream;
+
+    let cfg = OdohConfig::new(2, 20);
+    let seed = 23;
+    let mut spec = odoh_serve_spec(&cfg, seed);
+    // Every role is listening before the clients send anything; the
+    // strangers connect in that window, ahead of every legitimate dial.
+    let go = Arc::new(Barrier::new(cfg.clients + 1));
+    spec.roles = spec
+        .roles
+        .into_iter()
+        .map(|mut rs| {
+            if rs.kind == RoleKind::Initiator {
+                rs.role = Box::new(HeldStart {
+                    inner: rs.role,
+                    go: go.clone(),
+                });
+            }
+            rs
+        })
+        .collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    let (release, released) = std::sync::mpsc::channel::<()>();
+    let mut stalled_cfg = serve_cfg(seed);
+    stalled_cfg.port_report = Some(tx);
+    let attacker = std::thread::spawn(move || {
+        let addrs = rx.recv().expect("engine reports its ports");
+        let mut partial = vec![0x01];
+        partial.extend_from_slice(&1000u32.to_be_bytes());
+        let mut held = Vec::new();
+        for addr in &addrs {
+            for _ in 0..2 {
+                held.extend(TcpStream::connect(addr));
+            }
+            if let Ok(mut s) = TcpStream::connect(addr) {
+                s.write_all(&partial).expect("header sent");
+                held.push(s);
+            }
+        }
+        go.wait();
+        // Hold every connection open until the run has returned; by then
+        // the engine must have ended each one (EOF or reset), not left it
+        // hanging.
+        let _ = released.recv();
+        let ended = held
+            .into_iter()
+            .map(|mut s| {
+                s.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+                match s.read(&mut [0u8; 1]) {
+                    Ok(n) => n == 0,
+                    Err(e) => !matches!(
+                        e.kind(),
+                        std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
+                    ),
+                }
+            })
+            .collect::<Vec<bool>>();
+        (addrs.len(), ended)
+    });
+
+    // Run on a thread of its own, so a shutdown that waits on a stalled
+    // peer fails this test instead of hanging it.
+    let (ran, run) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        let _ = ran.send(run_loopback(spec, &stalled_cfg));
+    });
+    let outcome = run
+        .recv_timeout(Duration::from_secs(10))
+        .expect("shutdown waited on stalled peers: no return within 10 s of a 30 s deadline")
+        .expect("run survives stalls");
+    release.send(()).unwrap();
+    let (roles, ended) = attacker.join().expect("attacker thread");
+
+    assert!(
+        outcome.complete(),
+        "stalled strangers must not block the run"
+    );
+    assert_eq!(ended.len(), 3 * roles, "every stalled connection was made");
+    assert!(
+        ended.iter().all(|&e| e),
+        "the engine left a stalled connection open"
+    );
+    assert_eq!(
+        serde_json::to_string(&KnowledgeFingerprint::of(&outcome.world)).unwrap(),
+        simulated_fingerprint(&cfg, seed),
+        "stalled connections must not change what anyone learned"
     );
 }
 
