@@ -1,15 +1,16 @@
 //! Throughput of the parallel sweep engine vs the sequential reference.
 //!
 //! The engine's correctness claim (byte-identical results at any thread
-//! count) is covered by tests/sweep_determinism.rs and the CI dst_sweep
-//! diff; this bench prices the other half — wall-clock. A 16-world ODoH
-//! sweep is run through [`SequentialExecutor`] and through
-//! [`ParallelExecutor`] at 1, 2, and 4 threads. On a multi-core host the
-//! 2-thread run should land near half the sequential time (the worlds
-//! are embarrassingly parallel and coarse enough that the engine's
-//! per-item synchronization is noise); on a single-core host all rows
-//! collapse to the sequential figure, which is itself the result: the
-//! engine adds no measurable overhead when parallelism isn't available.
+//! count) is covered by tests/sweep_determinism.rs and the CI
+//! `dst --probe sweep` diff; this bench prices the other half —
+//! wall-clock. A 16-world ODoH sweep is run through
+//! [`SequentialExecutor`] and through [`ParallelExecutor`] at 1, 2, and
+//! 4 threads. On a multi-core host the 2-thread run should land near
+//! half the sequential time (the worlds are embarrassingly parallel and
+//! coarse enough that the engine's per-item synchronization is noise);
+//! on a single-core host all rows collapse to the sequential figure,
+//! which is itself the result: the engine adds no measurable overhead
+//! when parallelism isn't available.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use decoupling::Scenario as _;

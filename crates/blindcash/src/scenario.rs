@@ -132,18 +132,6 @@ impl Scenario for Blindcash {
     }
 }
 
-/// Multi-seed sweep of [`Blindcash`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &BlindcashConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    Blindcash::sweep(cfg, builder, exec, opts)
-}
-
 impl ScenarioReport {
     /// Derive the §3.1.1 decoupling table for buyer `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {

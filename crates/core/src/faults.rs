@@ -157,7 +157,8 @@ impl FaultConfig {
     ///
     /// Deliberately *not* part of [`FaultConfig::presets`]: the DST sweep
     /// battery iterates that array, and its baseline artifacts are
-    /// byte-pinned in CI. Fleet probes (`dst_fleet`) call this directly.
+    /// byte-pinned in CI. The fleet probe (`dst --probe fleet`) calls this
+    /// directly.
     pub fn harsh_fleet() -> Self {
         FaultConfig {
             p_relay_join: 0.10,

@@ -20,7 +20,7 @@ use serde::{Deserialize, Serialize};
 /// descriptors are built, and no randomness is drawn, so a fleet-off run
 /// is bit-for-bit identical to a run of a build without the layer (the
 /// same inertness bar `recover` and `obs` meet, byte-checked by the
-/// `dst_sweep`/`dst_recover` CI diffs).
+/// `dst --probe sweep|recover` CI diffs).
 #[derive(Clone, Debug, PartialEq, Serialize, Deserialize)]
 pub struct FleetConfig {
     /// Master switch. `false` means the wiring keeps its static relay

@@ -29,22 +29,6 @@ use crate::recover::RecoverConfig;
 use crate::sweep::{SweepBuilder, SweepExecutor, SweepRun};
 use crate::world::World;
 
-/// Which event-queue implementation the simulator runs on.
-///
-/// Both produce the *identical* `(time, seq)` total order — the
-/// queue-swap equivalence gate byte-diffs DST probe JSON across the two
-/// — so this is a performance knob, not a semantics knob. The legacy
-/// heap stays selectable until the gate has soaked.
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum QueueKind {
-    /// Hierarchical timer wheel: O(1) amortised, the default.
-    #[default]
-    TimerWheel,
-    /// The original `BinaryHeap`: O(log n), kept as the reference
-    /// implementation for the equivalence gate.
-    BinaryHeap,
-}
-
 /// How to run a scenario: fault preset, recovery layer, and whether to
 /// install the metrics sink. `Default` is calm, recovery-disabled, and
 /// uninstrumented — the zero-overhead path.
@@ -63,8 +47,6 @@ pub struct RunOptions {
     /// Install a metrics sink so the report's
     /// [`metrics`](ScenarioReport::metrics) is populated.
     pub observe: bool,
-    /// Event-queue implementation (default: [`QueueKind::TimerWheel`]).
-    pub queue: QueueKind,
     /// Record the per-packet [`Trace`](ScenarioReport) (default on: DST
     /// and the traffic-analysis attackers read it). Population-scale runs
     /// turn it off — 10⁸ packet records is unbounded memory.
@@ -82,7 +64,6 @@ impl Default for RunOptions {
             recover: RecoverConfig::default(),
             fleet: FleetConfig::default(),
             observe: false,
-            queue: QueueKind::default(),
             record_trace: true,
             streaming_metrics: false,
         }
@@ -131,11 +112,11 @@ impl RunOptions {
     }
 
     /// The DST-probe profile: calm, uninstrumented, full trace — the
-    /// exact-replay configuration the determinism probes byte-diff
-    /// (sequential vs. parallel, wheel vs. heap, fast vs. reference
-    /// crypto backend). Kept distinct from [`RunOptions::interactive`]
-    /// so probe call sites state their intent and can diverge from the
-    /// interactive defaults without touching every test.
+    /// exact-replay configuration the `dst` probes byte-diff
+    /// (sequential vs. parallel, fast vs. reference crypto backend).
+    /// Kept distinct from [`RunOptions::interactive`] so probe call sites
+    /// state their intent and can diverge from the interactive defaults
+    /// without touching every test.
     pub fn dst() -> Self {
         RunOptions::default()
     }
@@ -180,12 +161,6 @@ impl RunOptions {
     /// Replace the relay-fleet configuration (chainable).
     pub fn with_fleet(mut self, fleet: &FleetConfig) -> Self {
         self.fleet = fleet.clone();
-        self
-    }
-
-    /// Select the event-queue implementation (chainable).
-    pub fn with_queue(mut self, queue: QueueKind) -> Self {
-        self.queue = queue;
         self
     }
 
@@ -387,11 +362,8 @@ mod tests {
     #[test]
     fn queue_and_trace_defaults() {
         let d = RunOptions::default();
-        assert_eq!(d.queue, QueueKind::TimerWheel);
         assert!(d.record_trace, "trace stays on unless opted out");
         assert!(!d.streaming_metrics);
-        let heap = RunOptions::new().with_queue(QueueKind::BinaryHeap);
-        assert_eq!(heap.queue, QueueKind::BinaryHeap);
         assert!(!RunOptions::new().without_trace().record_trace);
         assert!(RunOptions::new().with_streaming_metrics().streaming_metrics);
     }
@@ -410,18 +382,14 @@ mod tests {
 
         let dst = RunOptions::dst();
         assert!(!dst.observe && dst.record_trace && !dst.streaming_metrics);
-        assert_eq!(dst.queue, QueueKind::TimerWheel);
         assert!(!dst.fleet.enabled, "fleet is opt-in everywhere");
 
         let fleet = RunOptions::dst().with_fleet(&FleetConfig::standard());
         assert!(fleet.fleet.enabled);
 
         // The profiles compose with the chainable escape hatches.
-        let custom = RunOptions::population()
-            .observe(false)
-            .with_queue(QueueKind::BinaryHeap);
-        assert!(!custom.observe && custom.streaming_metrics);
-        assert_eq!(custom.queue, QueueKind::BinaryHeap);
+        let custom = RunOptions::population().observe(false).without_trace();
+        assert!(!custom.observe && custom.streaming_metrics && !custom.record_trace);
     }
 
     #[test]

@@ -140,6 +140,123 @@ pub fn new_couplings(baseline: &World, faulted: &World) -> Vec<String> {
         .collect()
 }
 
+/// The calm reference run every faulted cell is compared against.
+struct Baseline {
+    world: World,
+    fingerprint: KnowledgeFingerprint,
+}
+
+impl Baseline {
+    /// Run the calm preset once and check that it injected nothing.
+    fn calm<F>(scenario: &str, seed: u64, run: &F) -> Self
+    where
+        F: Fn(&FaultConfig, u64) -> DstOutcome,
+    {
+        let baseline = run(&FaultConfig::calm(), seed);
+        assert!(
+            baseline.fault_log.is_empty(),
+            "{scenario}: calm preset must inject nothing, got {:?}",
+            baseline.fault_log.events()
+        );
+        let fingerprint = KnowledgeFingerprint::of(&baseline.world);
+        Baseline {
+            world: baseline.world,
+            fingerprint,
+        }
+    }
+}
+
+/// Run one `(scenario, preset)` cell twice at `seed` and check it against
+/// the calm `baseline`: determinism, baseline-relative safety, retry
+/// unlinkability, and — for the `harsh` preset — the completion bar.
+/// Panics with a replay recipe on any violation.
+fn check_cell<F>(
+    scenario: &str,
+    preset: &str,
+    config: &FaultConfig,
+    seed: u64,
+    baseline: &Baseline,
+    run: &F,
+) -> DstReport
+where
+    F: Fn(&FaultConfig, u64) -> DstOutcome,
+{
+    let a = run(config, seed);
+    let b = run(config, seed);
+
+    // Determinism: identical fault schedule and knowledge tables.
+    assert_eq!(
+        a.fault_log, b.fault_log,
+        "{scenario}/{preset}: FaultLog diverged between two runs of \
+         seed {seed} — the run is not a pure function of (seed, config)"
+    );
+    let fp_a = KnowledgeFingerprint::of(&a.world);
+    let fp_b = KnowledgeFingerprint::of(&b.world);
+    assert_eq!(
+        fp_a, fp_b,
+        "{scenario}/{preset}: knowledge tables diverged between two \
+         runs of seed {seed}"
+    );
+
+    // Safety: no coupling the calm run doesn't already have.
+    let fresh = new_couplings(&baseline.world, &a.world);
+    assert!(
+        fresh.is_empty(),
+        "{scenario}/{preset}: faults created new couplings {fresh:?} \
+         — replay with seed {seed} and config {config:?}"
+    );
+
+    // Privacy of recovery: re-randomized retransmission means no two
+    // attempts of one request ever share a ciphertext, under any tier.
+    assert!(
+        a.retry_linkage.is_empty(),
+        "{scenario}/{preset}: attempts linkable by ciphertext equality \
+         {:?} — replay with seed {seed}",
+        a.retry_linkage
+    );
+
+    let tables_match_baseline = fp_a == baseline.fingerprint;
+
+    // The harsh completion bar: every request answered, and the
+    // recovered run's knowledge tables byte-identical to the
+    // fault-free run (retries and failovers taught no entity
+    // anything new).
+    if preset == "harsh" {
+        assert!(
+            a.completed,
+            "{scenario}/harsh: no end-to-end progress despite the \
+             recovery layer — replay with seed {seed}"
+        );
+        if let Some(expected) = a.expected_units {
+            assert_eq!(
+                a.completed_units, expected,
+                "{scenario}/harsh: completed {}/{} work units — the \
+                 recovery layer failed to finish the workload; replay \
+                 with seed {seed}",
+                a.completed_units, expected
+            );
+        }
+        assert!(
+            tables_match_baseline,
+            "{scenario}/harsh: recovered run's knowledge tables differ \
+             from the fault-free baseline — recovery leaked knowledge; \
+             replay with seed {seed}"
+        );
+    }
+
+    DstReport {
+        scenario: scenario.to_string(),
+        preset: preset.to_string(),
+        seed,
+        faults_injected: a.fault_log.len(),
+        completed: a.completed,
+        completed_units: a.completed_units,
+        expected_units: a.expected_units,
+        tables_match_baseline,
+        new_couplings: fresh,
+    }
+}
+
 /// Run `scenario` under every preset, each twice, asserting determinism
 /// and baseline-relative safety. Panics (with a replay recipe) on any
 /// violation; returns one [`DstReport`] per preset on success.
@@ -150,92 +267,18 @@ pub fn run_scenario<F>(scenario: &str, seed: u64, run: F) -> Vec<DstReport>
 where
     F: Fn(&FaultConfig, u64) -> DstOutcome,
 {
-    let baseline = run(&FaultConfig::calm(), seed);
-    assert!(
-        baseline.fault_log.is_empty(),
-        "{scenario}: calm preset must inject nothing, got {:?}",
-        baseline.fault_log.events()
-    );
-    let baseline_fp = KnowledgeFingerprint::of(&baseline.world);
+    let baseline = Baseline::calm(scenario, seed, &run);
+    FaultConfig::presets()
+        .iter()
+        .map(|(preset, config)| check_cell(scenario, preset, config, seed, &baseline, &run))
+        .collect()
+}
 
-    let mut reports = Vec::new();
-    for (preset, config) in FaultConfig::presets() {
-        let a = run(&config, seed);
-        let b = run(&config, seed);
-
-        // Determinism: identical fault schedule and knowledge tables.
-        assert_eq!(
-            a.fault_log, b.fault_log,
-            "{scenario}/{preset}: FaultLog diverged between two runs of \
-             seed {seed} — the run is not a pure function of (seed, config)"
-        );
-        let fp_a = KnowledgeFingerprint::of(&a.world);
-        let fp_b = KnowledgeFingerprint::of(&b.world);
-        assert_eq!(
-            fp_a, fp_b,
-            "{scenario}/{preset}: knowledge tables diverged between two \
-             runs of seed {seed}"
-        );
-
-        // Safety: no coupling the calm run doesn't already have.
-        let fresh = new_couplings(&baseline.world, &a.world);
-        assert!(
-            fresh.is_empty(),
-            "{scenario}/{preset}: faults created new couplings {fresh:?} \
-             — replay with seed {seed} and config {config:?}"
-        );
-
-        // Privacy of recovery: re-randomized retransmission means no two
-        // attempts of one request ever share a ciphertext, under any tier.
-        assert!(
-            a.retry_linkage.is_empty(),
-            "{scenario}/{preset}: attempts linkable by ciphertext equality \
-             {:?} — replay with seed {seed}",
-            a.retry_linkage
-        );
-
-        let tables_match_baseline = fp_a == baseline_fp;
-
-        // The harsh completion bar: every request answered, and the
-        // recovered run's knowledge tables byte-identical to the
-        // fault-free run (retries and failovers taught no entity
-        // anything new).
-        if preset == "harsh" {
-            assert!(
-                a.completed,
-                "{scenario}/harsh: no end-to-end progress despite the \
-                 recovery layer — replay with seed {seed}"
-            );
-            if let Some(expected) = a.expected_units {
-                assert_eq!(
-                    a.completed_units, expected,
-                    "{scenario}/harsh: completed {}/{} work units — the \
-                     recovery layer failed to finish the workload; replay \
-                     with seed {seed}",
-                    a.completed_units, expected
-                );
-            }
-            assert_eq!(
-                fp_a, baseline_fp,
-                "{scenario}/harsh: recovered run's knowledge tables differ \
-                 from the fault-free baseline — recovery leaked knowledge; \
-                 replay with seed {seed}"
-            );
-        }
-
-        reports.push(DstReport {
-            scenario: scenario.to_string(),
-            preset: preset.to_string(),
-            seed,
-            faults_injected: a.fault_log.len(),
-            completed: a.completed,
-            completed_units: a.completed_units,
-            expected_units: a.expected_units,
-            tables_match_baseline,
-            new_couplings: fresh,
-        });
-    }
-    reports
+/// Run `S` on `cfg` at `seed` under `config` with the standard recovery
+/// layer enabled — the run every DST cell replays.
+fn recovered_outcome<S: Scenario>(cfg: &S::Config, config: &FaultConfig, seed: u64) -> DstOutcome {
+    let report = S::run_with(cfg, seed, &dcp_core::RunOptions::recovered(config));
+    DstOutcome::from_report(&report)
 }
 
 /// [`run_scenario`] specialized to the unified [`Scenario`] trait: runs
@@ -250,27 +293,8 @@ where
 /// mean anything. Calm runs fire zero retries, so this changes no
 /// knowledge.
 pub fn run_scenario_for<S: Scenario>(seed: u64, cfg: &S::Config) -> Vec<DstReport> {
-    run_scenario_for_with::<S>(seed, cfg, &dcp_core::RunOptions::default())
-}
-
-/// [`run_scenario_for`] with explicit run plumbing: the fault preset and
-/// recovery layer still come from the battery, but `base`'s simulator
-/// knobs (event queue, trace recording, metrics streaming) are applied
-/// to every run. The queue-swap equivalence gate drives this with
-/// [`QueueKind::BinaryHeap`](dcp_core::QueueKind) vs the timer-wheel
-/// default and byte-diffs the probe JSON.
-pub fn run_scenario_for_with<S: Scenario>(
-    seed: u64,
-    cfg: &S::Config,
-    base: &dcp_core::RunOptions,
-) -> Vec<DstReport> {
     run_scenario(S::NAME, seed, |config, seed| {
-        let mut opts = dcp_core::RunOptions::recovered(config);
-        opts.queue = base.queue;
-        opts.record_trace = base.record_trace;
-        opts.streaming_metrics = base.streaming_metrics;
-        let report = S::run_with(cfg, seed, &opts);
-        DstOutcome::from_report(&report)
+        recovered_outcome::<S>(cfg, config, seed)
     })
 }
 
@@ -284,87 +308,20 @@ pub fn run_scenario_for_with<S: Scenario>(
 /// the completion bar, so CI can sweep it over more worlds than the full
 /// battery affords.
 pub fn run_recovery_probe_for<S: Scenario>(seed: u64, cfg: &S::Config) -> DstReport {
-    run_recovery_probe_for_with::<S>(seed, cfg, &dcp_core::RunOptions::default())
-}
-
-/// [`run_recovery_probe_for`] with explicit simulator knobs — see
-/// [`run_scenario_for_with`].
-pub fn run_recovery_probe_for_with<S: Scenario>(
-    seed: u64,
-    cfg: &S::Config,
-    base: &dcp_core::RunOptions,
-) -> DstReport {
-    let run = |config: &FaultConfig, seed: u64| {
-        let mut opts = dcp_core::RunOptions::recovered(config);
-        opts.queue = base.queue;
-        opts.record_trace = base.record_trace;
-        opts.streaming_metrics = base.streaming_metrics;
-        let report = S::run_with(cfg, seed, &opts);
-        DstOutcome::from_report(&report)
-    };
-    let scenario = S::NAME;
-    let baseline = run(&FaultConfig::calm(), seed);
-    assert!(
-        baseline.fault_log.is_empty(),
-        "{scenario}: calm preset must inject nothing"
-    );
-    let baseline_fp = KnowledgeFingerprint::of(&baseline.world);
-
-    let harsh = FaultConfig::harsh();
-    let a = run(&harsh, seed);
-    let b = run(&harsh, seed);
-    assert_eq!(
-        a.fault_log, b.fault_log,
-        "{scenario}/harsh: FaultLog diverged between two runs of seed {seed}"
-    );
-    let fp_a = KnowledgeFingerprint::of(&a.world);
-    assert_eq!(
-        fp_a,
-        KnowledgeFingerprint::of(&b.world),
-        "{scenario}/harsh: knowledge tables diverged between two runs of seed {seed}"
-    );
-    let fresh = new_couplings(&baseline.world, &a.world);
-    assert!(
-        fresh.is_empty(),
-        "{scenario}/harsh: faults created new couplings {fresh:?} — replay with seed {seed}"
-    );
-    assert!(
-        a.retry_linkage.is_empty(),
-        "{scenario}/harsh: attempts linkable by ciphertext equality {:?} — replay with seed {seed}",
-        a.retry_linkage
-    );
-    assert!(
-        a.completed,
-        "{scenario}/harsh: no end-to-end progress despite the recovery layer — seed {seed}"
-    );
-    if let Some(expected) = a.expected_units {
-        assert_eq!(
-            a.completed_units, expected,
-            "{scenario}/harsh: completed {}/{} work units — replay with seed {seed}",
-            a.completed_units, expected
-        );
-    }
-    assert_eq!(
-        fp_a, baseline_fp,
-        "{scenario}/harsh: recovered run's knowledge tables differ from the \
-         fault-free baseline — recovery leaked knowledge; replay with seed {seed}"
-    );
-
-    DstReport {
-        scenario: scenario.to_string(),
-        preset: "harsh".to_string(),
+    let run = |config: &FaultConfig, seed| recovered_outcome::<S>(cfg, config, seed);
+    let baseline = Baseline::calm(S::NAME, seed, &run);
+    check_cell(
+        S::NAME,
+        "harsh",
+        &FaultConfig::harsh(),
         seed,
-        faults_injected: a.fault_log.len(),
-        completed: a.completed,
-        completed_units: a.completed_units,
-        expected_units: a.expected_units,
-        tables_match_baseline: true,
-        new_couplings: fresh,
-    }
+        &baseline,
+        &run,
+    )
 }
 
 /// The aggregate of a multi-seed harsh recovery sweep for one scenario —
-/// the artifact the CI `dst_recover` job byte-diffs between the
+/// the artifact the CI `dst --probe recover` job byte-diffs between the
 /// sequential and parallel executors.
 #[derive(Clone, Debug, PartialEq, Serialize)]
 pub struct RecoverySweepReport {
@@ -399,25 +356,7 @@ where
     S::Config: Sync,
     X: SweepExecutor + ?Sized,
 {
-    sweep_recovery_probe_for_with::<S, X>(cfg, builder, exec, &dcp_core::RunOptions::default())
-}
-
-/// [`sweep_recovery_probe_for`] with explicit simulator knobs — see
-/// [`run_scenario_for_with`].
-pub fn sweep_recovery_probe_for_with<S, X>(
-    cfg: &S::Config,
-    builder: &SweepBuilder,
-    exec: &X,
-    base: &dcp_core::RunOptions,
-) -> RecoverySweepReport
-where
-    S: Scenario,
-    S::Config: Sync,
-    X: SweepExecutor + ?Sized,
-{
-    let run = builder.run_on(exec, |job| {
-        run_recovery_probe_for_with::<S>(job.seed, cfg, base)
-    });
+    let run = builder.run_on(exec, |job| run_recovery_probe_for::<S>(job.seed, cfg));
     let mut report = RecoverySweepReport {
         scenario: S::NAME.to_string(),
         master_seed: builder.master_seed(),
@@ -489,25 +428,7 @@ where
     S::Config: Sync,
     X: SweepExecutor + ?Sized,
 {
-    sweep_scenario_for_with::<S, X>(cfg, builder, exec, &dcp_core::RunOptions::default())
-}
-
-/// [`sweep_scenario_for`] with explicit simulator knobs — see
-/// [`run_scenario_for_with`]. The queue-swap equivalence gate runs the
-/// same sweep under both [`QueueKind`](dcp_core::QueueKind)s and
-/// byte-diffs the serialized aggregates.
-pub fn sweep_scenario_for_with<S, X>(
-    cfg: &S::Config,
-    builder: &SweepBuilder,
-    exec: &X,
-    base: &dcp_core::RunOptions,
-) -> DstSweepReport
-where
-    S: Scenario,
-    S::Config: Sync,
-    X: SweepExecutor + ?Sized,
-{
-    let run = builder.run_on(exec, |job| run_scenario_for_with::<S>(job.seed, cfg, base));
+    let run = builder.run_on(exec, |job| run_scenario_for::<S>(job.seed, cfg));
     let mut report = DstSweepReport {
         scenario: S::NAME.to_string(),
         master_seed: builder.master_seed(),

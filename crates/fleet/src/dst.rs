@@ -1,6 +1,6 @@
 //! Fleet-side DST artifacts: run counters, the per-run summary embedded
 //! in scenario reports, and the restricted knowledge-fingerprint used by
-//! the `dst_fleet` byte-identity probe.
+//! the `dst --probe fleet` byte-identity probe.
 
 use std::cell::RefCell;
 use std::collections::BTreeSet;
@@ -63,10 +63,10 @@ impl FleetSummary {
 }
 
 /// Knowledge rows (entity name → rendered per-user tuples) restricted
-/// to `names`, in entity registration order. The `dst_fleet` probe
-/// compares a fleet-enabled run against the fixed-relay baseline on the
-/// baseline's entities only — directory entities exist solely in the
-/// fleet run and are checked separately for silence.
+/// to `names`, in entity registration order. The `dst --probe fleet`
+/// probe compares a fleet-enabled run against the fixed-relay baseline
+/// on the baseline's entities only — directory entities exist solely in
+/// the fleet run and are checked separately for silence.
 pub fn restricted_fingerprint(
     world: &World,
     names: &BTreeSet<String>,

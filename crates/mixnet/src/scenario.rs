@@ -129,18 +129,6 @@ impl Scenario for Mixnet {
     }
 }
 
-/// Multi-seed sweep of [`Mixnet`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &MixnetConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<MixnetReport> {
-    Mixnet::sweep(cfg, builder, exec, opts)
-}
-
 impl MixnetReport {
     /// Derive the §3.1.2 table for sender `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {

@@ -110,18 +110,6 @@ impl Scenario for Mpr {
     }
 }
 
-/// Multi-seed sweep of [`Mpr`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &ChainConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    Mpr::sweep(cfg, builder, exec, opts)
-}
-
 impl ScenarioReport {
     /// Derive the decoupling table for user `i` over
     /// `User | Relay 1 | … | Relay k | Origin`.

@@ -294,8 +294,8 @@ pub fn to_json<T: serde::Serialize>(report: &T) -> String {
 
 /// Write a report to `path` as JSON (newline-terminated), creating
 /// parent directories. All artifact writers — `out/metrics/*.json`,
-/// `out/experiments_out.json`, the `dst_sweep`/`dst_recover` probe
-/// outputs — funnel through here.
+/// `out/experiments_out.json`, the `dst --probe …` outputs — funnel
+/// through here.
 pub fn write_json<T: serde::Serialize>(report: &T, path: impl AsRef<Path>) -> std::io::Result<()> {
     let path = path.as_ref();
     if let Some(dir) = path.parent() {

@@ -255,29 +255,6 @@ impl Scenario for Odoh {
     }
 }
 
-/// Multi-seed sweep of [`Odoh`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &OdohConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    Odoh::sweep(cfg, builder, exec, opts)
-}
-
-/// Multi-seed sweep of [`DirectDns`] (the coupled baseline) on `exec` —
-/// see [`sweep`] for the determinism contract.
-pub fn sweep_direct(
-    cfg: &DirectDnsConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<ScenarioReport> {
-    DirectDns::sweep(cfg, builder, exec, opts)
-}
-
 /// Plain DNS (the coupled baseline), optionally striped across several
 /// resolvers (§5.1).
 pub struct DirectDns;

@@ -124,18 +124,6 @@ impl Scenario for Pgpp {
     }
 }
 
-/// Multi-seed sweep of [`Pgpp`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &PgppConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<PgppReport> {
-    Pgpp::sweep(cfg, builder, exec, opts)
-}
-
 impl PgppReport {
     /// Derive the §3.2.3 table for user `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {

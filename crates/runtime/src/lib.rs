@@ -44,7 +44,7 @@
 //! Nothing here may perturb a run: the runtime draws no randomness of its
 //! own, sends nothing on its own initiative, and sequences world-ledger
 //! effects exactly as the pre-refactor wirings did — the DST probes
-//! (`dst_sweep`, `dst_recover`) are byte-identical across the migration.
+//! (`dst --probe sweep|recover`) are byte-identical across the migration.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -1,21 +1,23 @@
 //! A hierarchical timer wheel with the *exact* `(time, seq)` total order
 //! of a binary heap.
 //!
-//! The simulator's event queue was a `BinaryHeap<Reverse<Event>>`: `O(log
-//! n)` per operation with a comparison-heavy inner loop. Population-scale
-//! worlds (10⁶ users, 10⁸ events) spend most of their time in that queue,
-//! so this module replaces it with a classic hashed-hierarchical timer
+//! The simulator's event queue was a binary min-heap: `O(log n)` per
+//! operation with a comparison-heavy inner loop. Population-scale worlds
+//! (10⁶ users, 10⁸ events) spend most of their time in that queue, so
+//! this module replaced it with a classic hashed-hierarchical timer
 //! wheel (Varghese & Lauck) specialised to the simulator's workload:
 //! near-future timestamps, monotonically advancing cursor, strict
 //! determinism.
 //!
 //! **Ordering contract.** `pop` returns entries in ascending `(time,
-//! seq)` order — byte-identical to the heap it replaces — provided every
+//! seq)` order — byte-identical to the heap it replaced — provided every
 //! `push` carries a time no earlier than the last popped entry's time
 //! (the discrete-event invariant: handlers schedule at `now + delay`).
 //! Entries pushed *behind* the cursor are clamped to the cursor for
 //! placement but keep their original time, matching what the heap would
-//! have reported; see `push` for the precise semantics.
+//! have reported; see `push` for the precise semantics. The
+//! `matches_sorted_vec_model` proptest checks the contract against a
+//! sorted-`Vec` reference model.
 //!
 //! Layout: 11 levels × 64 slots, 6 bits per level, covering the full
 //! `u64` microsecond timeline. Level 0 resolves single microseconds;
@@ -330,6 +332,85 @@ mod tests {
             if got.is_none() {
                 break;
             }
+        }
+    }
+
+    /// The reference model: a `Vec` kept sorted descending by `(time,
+    /// seq)`, so the minimum is always last.
+    #[derive(Default)]
+    struct SortedVec(Vec<(u64, u64, u32)>);
+
+    impl SortedVec {
+        fn push(&mut self, time: u64, seq: u64, item: u32) {
+            let at = self.0.partition_point(|&(t, s, _)| (t, s) > (time, seq));
+            self.0.insert(at, (time, seq, item));
+        }
+        fn pop(&mut self) -> Option<(u64, u64, u32)> {
+            self.0.pop()
+        }
+        fn peek_time(&self) -> Option<u64> {
+            self.0.last().map(|&(t, _, _)| t)
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::Config::with_cases(256))]
+
+        /// Arbitrary push/peek/pop interleavings under the discrete-event
+        /// invariant (no push earlier than the last popped time) pop in
+        /// exactly the model's `(time, seq)` order. Push delays span every
+        /// wheel level up to the full `u64` range and pin `u64::MAX`;
+        /// peeks cascade the cursor ahead of the last popped time, so
+        /// later near pushes land behind the cursor (the documented
+        /// clamp-but-keep-time case).
+        #[test]
+        fn matches_sorted_vec_model(
+            ops in proptest::collection::vec(
+                (0u8..20, proptest::prelude::any::<u64>()),
+                0..400,
+            )
+        ) {
+            let mut wheel = TimerWheel::new();
+            let mut model = SortedVec::default();
+            let mut frontier = 0u64;
+            for (step, &(op, raw)) in ops.iter().enumerate() {
+                match op {
+                    0..=5 => {
+                        let got = wheel.pop();
+                        proptest::prop_assert_eq!(got, model.pop(), "pop at step {}", step);
+                        if let Some((t, _, _)) = got {
+                            frontier = t;
+                        }
+                    }
+                    6 => proptest::prop_assert_eq!(
+                        wheel.peek_time(),
+                        model.peek_time(),
+                        "peek at step {}",
+                        step
+                    ),
+                    _ => {
+                        // Class 0..=9 spans wheel level `class` (delays
+                        // below 64^(class+1)); 10 is the full u64 range,
+                        // 11 is u64::MAX itself, 12 ties at the frontier.
+                        let time = match op - 7 {
+                            class @ 0..=9 => {
+                                frontier.saturating_add(raw % (1u64 << (6 * (class + 1))))
+                            }
+                            10 => frontier.saturating_add(raw),
+                            11 => u64::MAX,
+                            _ => frontier,
+                        };
+                        let seq = step as u64;
+                        wheel.push(time, seq, step as u32);
+                        model.push(time, seq, step as u32);
+                    }
+                }
+                proptest::prop_assert_eq!(wheel.len(), model.0.len());
+            }
+            while let Some(want) = model.pop() {
+                proptest::prop_assert_eq!(wheel.pop(), Some(want));
+            }
+            proptest::prop_assert!(wheel.is_empty());
         }
     }
 

@@ -121,18 +121,6 @@ impl Scenario for Vpn {
     }
 }
 
-/// Multi-seed sweep of [`Vpn`] on `exec`: one independent world per
-/// derived seed, results identical for any conforming executor (pass
-/// `dcp_sweep::ParallelExecutor` to fan across cores).
-pub fn sweep(
-    cfg: &VpnConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<VpnReport> {
-    Vpn::sweep(cfg, builder, exec, opts)
-}
-
 impl VpnReport {
     /// Derive the §3.3 table for user `i`.
     pub fn table(&self, i: usize) -> DecouplingTable {
@@ -639,17 +627,6 @@ impl Scenario for Ech {
     fn run_with(cfg: &EchConfig, seed: u64, opts: &RunOptions) -> EchReport {
         run_ech_impl(cfg, seed, opts)
     }
-}
-
-/// Multi-seed sweep of [`Ech`] on `exec` (see [`sweep`] for the VPN
-/// variant and the determinism contract).
-pub fn sweep_ech(
-    cfg: &EchConfig,
-    builder: &dcp_core::SweepBuilder,
-    exec: &impl dcp_core::SweepExecutor,
-    opts: &RunOptions,
-) -> dcp_core::SweepRun<EchReport> {
-    Ech::sweep(cfg, builder, exec, opts)
 }
 
 impl EchReport {

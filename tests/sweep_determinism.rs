@@ -3,7 +3,7 @@
 //! * **engine** — for arbitrary `(master_seed, worlds, threads)`, a
 //!   [`ParallelExecutor`] sweep is equal to the [`SequentialExecutor`]
 //!   reference, entry for entry, and the serialized reports are
-//!   byte-identical JSON (the same diff CI performs on `dst_sweep`);
+//!   byte-identical JSON (the same diff CI performs on `dst --probe sweep`);
 //! * **scenarios** — every §3 scenario's full DST preset battery agrees
 //!   between the two executors, so nothing a scenario aggregates depends
 //!   on completion order;
