@@ -3,7 +3,7 @@
 //! All modular arithmetic this crate performs on secret-bearing operands
 //! (RSA raw operations, blinding inversions, scalar inversion mod ℓ,
 //! Miller–Rabin witnesses) goes through the [`Backend`] trait instead of
-//! calling [`BigUint`](crate::bigint::BigUint) methods directly. Two
+//! calling [`BigUint`] methods directly. Two
 //! implementations exist:
 //!
 //! * [`ReferenceBackend`] — thin delegation to [`crate::bigint`]'s

@@ -224,7 +224,7 @@ impl FastMont {
     }
 }
 
-/// The fast backend: [`FastMont`] contexts cached per modulus.
+/// The fast backend: `FastMont` contexts cached per modulus.
 ///
 /// Obtain the process-wide instance through
 /// [`crate::backend::fast`]; the cache is shared so every call site

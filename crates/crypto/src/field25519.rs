@@ -135,12 +135,34 @@ impl FieldElement {
         let [b0, b1, b2, b3, b4] = other.0;
         let m = |x: u64, y: u64| x as u128 * y as u128;
 
-        let mut r0 = m(a0, b0) + 19 * (m(a1, b4) + m(a2, b3) + m(a3, b2) + m(a4, b1));
-        let mut r1 = m(a0, b1) + m(a1, b0) + 19 * (m(a2, b4) + m(a3, b3) + m(a4, b2));
-        let mut r2 = m(a0, b2) + m(a1, b1) + m(a2, b0) + 19 * (m(a3, b4) + m(a4, b3));
-        let mut r3 = m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + 19 * m(a4, b4);
-        let mut r4 = m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0);
+        let r0 = m(a0, b0) + 19 * (m(a1, b4) + m(a2, b3) + m(a3, b2) + m(a4, b1));
+        let r1 = m(a0, b1) + m(a1, b0) + 19 * (m(a2, b4) + m(a3, b3) + m(a4, b2));
+        let r2 = m(a0, b2) + m(a1, b1) + m(a2, b0) + 19 * (m(a3, b4) + m(a4, b3));
+        let r3 = m(a0, b3) + m(a1, b2) + m(a2, b1) + m(a3, b0) + 19 * m(a4, b4);
+        let r4 = m(a0, b4) + m(a1, b3) + m(a2, b2) + m(a3, b1) + m(a4, b0);
+        Self::carry_wide([r0, r1, r2, r3, r4])
+    }
 
+    /// Field squaring: the 15 distinct limb products of `self · self`
+    /// instead of `mul`'s 25.
+    pub fn square(&self) -> Self {
+        let [a0, a1, a2, a3, a4] = self.0;
+        let m = |x: u64, y: u64| x as u128 * y as u128;
+        // Limbs stay below 2^52, so 2·a and 19·a fit comfortably in u64.
+        let (d0, d1) = (2 * a0, 2 * a1);
+        let (t3, t4) = (19 * a3, 19 * a4);
+
+        let r0 = m(a0, a0) + 2 * (m(a1, t4) + m(a2, t3));
+        let r1 = m(d0, a1) + m(a3, t3) + 2 * m(a2, t4);
+        let r2 = m(d0, a2) + m(a1, a1) + 2 * m(a3, t4);
+        let r3 = m(d0, a3) + m(d1, a2) + m(a4, t4);
+        let r4 = m(d0, a4) + m(d1, a3) + m(a2, a2);
+        Self::carry_wide([r0, r1, r2, r3, r4])
+    }
+
+    /// Carry the wide limb accumulators of a product back to radix 51.
+    fn carry_wide(r: [u128; 5]) -> Self {
+        let [mut r0, mut r1, mut r2, mut r3, mut r4] = r;
         let mut c: u128;
         c = r0 >> 51;
         r0 &= MASK as u128;
@@ -162,11 +184,6 @@ impl FieldElement {
         r1 += c;
 
         FieldElement([r0 as u64, r1 as u64, r2 as u64, r3 as u64, r4 as u64])
-    }
-
-    /// Field squaring.
-    pub fn square(&self) -> Self {
-        self.mul(self)
     }
 
     /// Multiply by a small constant (used for ×121666 in the X25519 ladder).
@@ -358,7 +375,38 @@ mod tests {
         assert!(a.ct_eq(&fe(2)) && b.ct_eq(&fe(1)));
     }
 
+    #[test]
+    fn square_matches_mul_at_limb_bounds() {
+        // add/sub/mul outputs keep every limb below 2^51 + 2^15 (limb 0
+        // after weak_reduce, limb 1 after a product's final carry); 2^52 − 1
+        // is a margin above anything reachable.
+        let top = (1u64 << 52) - 1;
+        let cases = [
+            [top; 5],
+            [MASK + 57, MASK, MASK, MASK, MASK],
+            [MASK, MASK + (1 << 15), MASK, MASK, MASK],
+            [top, 0, top, 0, top],
+            [0, 0, 0, 0, top],
+            FieldElement::ZERO.sub(&FieldElement::ONE).0,
+        ];
+        for limbs in cases {
+            let x = FieldElement(limbs);
+            assert!(x.square().ct_eq(&x.mul(&x)), "limbs {limbs:x?}");
+        }
+    }
+
     proptest! {
+        #[test]
+        fn square_matches_mul(limbs in proptest::collection::vec(any::<u64>(), 5)) {
+            let mut x = FieldElement::ZERO;
+            for (l, v) in x.0.iter_mut().zip(&limbs) {
+                *l = v & ((1u64 << 52) - 1);
+            }
+            prop_assert_eq!(x.square().to_bytes(), x.mul(&x).to_bytes());
+            let y = x.add(&x).sub(&FieldElement::ONE);
+            prop_assert_eq!(y.square().to_bytes(), y.mul(&y).to_bytes());
+        }
+
         #[test]
         fn field_laws(a in any::<u64>(), b in any::<u64>(), c in any::<u64>()) {
             let (a, b, c) = (fe(a), fe(b), fe(c));

@@ -9,8 +9,9 @@
 //! * [`field25519`], [`x25519`] — GF(2^255 − 19) arithmetic and the RFC 7748
 //!   Montgomery-ladder Diffie–Hellman function.
 //! * [`edwards`] — the Ed25519 twisted Edwards group (point addition,
-//!   doubling, compression, hash-to-group) used as the prime-order group for
-//!   the VOPRF behind Privacy Pass.
+//!   doubling, compression, hash-to-group, windowed and fixed-base scalar
+//!   multiplication) used as the prime-order group for the VOPRF behind
+//!   Privacy Pass, and for X25519 public keys.
 //! * [`scalar`] — arithmetic modulo the Ed25519 group order ℓ.
 //! * [`bigint`] — arbitrary-precision unsigned integers (schoolbook +
 //!   Knuth-D division + modular exponentiation), the substrate for RSA.
@@ -37,10 +38,14 @@
 //! This crate exists to *reproduce the architecture* of the systems studied
 //! in "The Decoupling Principle" (HotNets '22) inside a simulator, not to
 //! ship production key material. Field arithmetic avoids secret-dependent
-//! branching where that is cheap (the X25519 ladder is uniform; AEAD tag
-//! comparison is constant-time via [`util::ct_eq`]), but scalar
-//! multiplication in [`edwards`] and all [`bigint`] arithmetic are
-//! variable-time. Each module documents its own stance.
+//! branching where that is cheap (the X25519 ladder used for shared
+//! secrets is uniform; AEAD tag comparison is constant-time via
+//! [`util::ct_eq`]), but scalar multiplication in [`edwards`] and all
+//! [`bigint`] arithmetic are variable-time. The Edwards kernels index
+//! their precomputed tables by secret scalar digits and skip zero digits,
+//! and [`x25519::public_key`] runs on the Edwards fixed-base table, so key
+//! generation is variable-time in the private scalar too. Each module
+//! documents its own stance.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]

@@ -26,7 +26,7 @@ const FINALIZE_DOMAIN: &[u8] = b"dcp-voprf-finalize";
 #[derive(Clone)]
 pub struct ServerKey {
     k: Scalar,
-    public: EdwardsPoint,
+    public: PublicKey,
 }
 
 /// The server's public key (commitment to `k`).
@@ -61,13 +61,13 @@ impl ServerKey {
     /// Generate a fresh OPRF key.
     pub fn generate<R: Rng + ?Sized>(rng: &mut R) -> Self {
         let k = Scalar::random(rng);
-        let public = EdwardsPoint::mul_base(&k);
+        let public = PublicKey(EdwardsPoint::mul_base(&k).compress());
         ServerKey { k, public }
     }
 
     /// The public commitment `K = k·B`.
     pub fn public_key(&self) -> PublicKey {
-        PublicKey(self.public.compress())
+        self.public
     }
 
     /// Evaluate a blinded element and produce a DLEQ proof. The server
@@ -87,10 +87,11 @@ impl ServerKey {
         let t = Scalar::random(rng);
         let a1 = EdwardsPoint::mul_base(&t);
         let a2 = m.mul(&t);
-        let c = dleq_challenge(&self.public, &m, &z, &a1, &a2);
+        let [z, a1, a2] = EdwardsPoint::compress_batch([&z, &a1, &a2]);
+        let c = dleq_challenge(&self.public.0, &blinded.0, &z, &a1, &a2);
         let s = t.sub(&c.mul(&self.k));
         Ok((
-            EvaluatedElement(z.compress()),
+            EvaluatedElement(z),
             DleqProof {
                 c: c.to_bytes(),
                 s: s.to_bytes(),
@@ -107,22 +108,26 @@ impl ServerKey {
     }
 }
 
+/// The compressed Ed25519 basepoint (`58 66 … 66`), the first
+/// transcript entry.
+const BASEPOINT_BYTES: [u8; 32] = {
+    let mut b = [0x66; 32];
+    b[0] = 0x58;
+    b
+};
+
+/// The DLEQ challenge over the compressed transcript `B, K, M, Z, A1, A2`.
+/// Points that arrived on the wire enter as their received bytes: decoding
+/// accepts only canonical encodings, so those bytes are exactly what
+/// compressing the decoded point would give.
 fn dleq_challenge(
-    public: &EdwardsPoint,
-    m: &EdwardsPoint,
-    z: &EdwardsPoint,
-    a1: &EdwardsPoint,
-    a2: &EdwardsPoint,
+    public: &[u8; 32],
+    m: &[u8; 32],
+    z: &[u8; 32],
+    a1: &[u8; 32],
+    a2: &[u8; 32],
 ) -> Scalar {
-    let transcript = [
-        EdwardsPoint::basepoint().compress(),
-        public.compress(),
-        m.compress(),
-        z.compress(),
-        a1.compress(),
-        a2.compress(),
-    ]
-    .concat();
+    let transcript = [BASEPOINT_BYTES, *public, *m, *z, *a1, *a2].concat();
     Scalar::hash_from_bytes(DLEQ_DOMAIN, &transcript)
 }
 
@@ -174,8 +179,9 @@ impl ClientBlinding {
         let c = Scalar::from_canonical_bytes(&proof.c)?;
         let s = Scalar::from_canonical_bytes(&proof.s)?;
         let a1 = EdwardsPoint::mul_base(&s).add(&k_pub.mul(&c));
-        let a2 = m.mul(&s).add(&z.mul(&c));
-        let expect = dleq_challenge(&k_pub, &m, &z, &a1, &a2);
+        let a2 = EdwardsPoint::double_scalar_mul(&s, &m, &c, &z);
+        let [a1, a2] = EdwardsPoint::compress_batch([&a1, &a2]);
+        let expect = dleq_challenge(&server_pk.0, &self.blinded.0, &evaluated.0, &a1, &a2);
         if expect != c {
             return Err(CryptoError::BadProof);
         }
@@ -267,6 +273,11 @@ mod tests {
         let server = ServerKey::generate(&mut rng);
         let id = BlindedElement(EdwardsPoint::identity().compress());
         assert!(server.evaluate(&mut rng, &id).is_err());
+    }
+
+    #[test]
+    fn transcript_basepoint_constant() {
+        assert_eq!(BASEPOINT_BYTES, EdwardsPoint::basepoint().compress());
     }
 
     #[test]

@@ -1,6 +1,9 @@
-//! X25519 Diffie–Hellman (RFC 7748) over Curve25519, via the Montgomery
-//! ladder with uniform conditional swaps.
+//! X25519 Diffie–Hellman (RFC 7748) over Curve25519. Shared secrets use
+//! the Montgomery ladder with uniform conditional swaps; public keys are
+//! computed on the birationally equivalent Edwards curve from its
+//! fixed-base table (see [`public_key`]).
 
+use crate::edwards::EdwardsPoint;
 use crate::field25519::FieldElement;
 
 /// Length of scalars, coordinates, and shared secrets.
@@ -60,9 +63,13 @@ pub fn x25519(scalar: &[u8; KEY_LEN], u: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
     x2.mul(&z2.invert()).to_bytes()
 }
 
-/// Derive the public key for a (clamped) private scalar.
+/// Derive the public key for a private scalar (clamped internally):
+/// `x25519(private, BASEPOINT)`, computed as `k·B` on the Edwards curve
+/// from its fixed-base table and mapped to the u-line. The basepoint u = 9
+/// is the image of the Ed25519 basepoint B, so the bytes are the ladder's.
+/// Unlike the ladder this is variable-time in the private scalar.
 pub fn public_key(private: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
-    x25519(private, &BASEPOINT)
+    EdwardsPoint::mul_base_bytes(&clamp_scalar(*private)).to_montgomery_u()
 }
 
 /// Generate a keypair from a random number generator.
@@ -92,7 +99,13 @@ pub fn shared_secret(
 mod tests {
     use super::*;
     use crate::util::{hex_decode, hex_encode};
+    use proptest::prelude::*;
     use rand::SeedableRng;
+
+    /// The ladder-based public key that the fixed-base path replaced.
+    fn public_key_oracle(private: &[u8; KEY_LEN]) -> [u8; KEY_LEN] {
+        x25519(private, &BASEPOINT)
+    }
 
     fn arr(hex: &str) -> [u8; 32] {
         let v = hex_decode(hex).unwrap();
@@ -167,6 +180,37 @@ mod tests {
         // u = 0 is a small-order point; the shared secret must be rejected.
         let sk = clamp_scalar([0x42u8; 32]);
         assert!(shared_secret(&sk, &[0u8; 32]).is_none());
+    }
+
+    #[test]
+    fn public_key_matches_ladder_at_edges() {
+        // All-ones and all-zeros clamp to 2²⁵⁵ − 8 and 2²⁵⁴; a lone low
+        // bit is cleared by clamping.
+        for k in [[0xffu8; 32], [0u8; 32], [1u8; 32], [0x88u8; 32]] {
+            assert_eq!(public_key(&k), public_key_oracle(&k), "k={k:x?}");
+        }
+    }
+
+    #[test]
+    fn non_canonical_u_is_reduced() {
+        // RFC 7748 §5: u ≥ p is accepted and taken modulo p, so p + 9
+        // behaves as the basepoint 9.
+        let mut p_plus_9 = [0xffu8; 32];
+        p_plus_9[0] = 0xed + 9;
+        p_plus_9[31] = 0x7f;
+        let k = clamp_scalar([0x42u8; 32]);
+        assert_eq!(x25519(&k, &p_plus_9), x25519(&k, &BASEPOINT));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        #[test]
+        fn public_key_matches_ladder(k in proptest::collection::vec(any::<u8>(), 32)) {
+            let mut sk = [0u8; KEY_LEN];
+            sk.copy_from_slice(&k);
+            prop_assert_eq!(public_key(&sk), public_key_oracle(&sk));
+        }
     }
 
     #[test]

@@ -1,11 +1,10 @@
 //! Simulator scenarios: ODoH, direct DNS (the coupled baseline), and the
 //! §5.1 striping experiment.
 //!
-//! The three wirings live in one submodule each — [`odoh`](self::odoh)
-//! (proxy → target encapsulation), [`direct`](self::direct) (plain DNS,
-//! optionally striped), [`legacy`](self::legacy) (the 2019 name-hiding
-//! protocol) — sharing this hub's report, configs, workload zone, and the
-//! [`OriginNode`] authoritative responder.
+//! The three wirings live in one submodule each — `odoh` (proxy → target
+//! encapsulation), `direct` (plain DNS, optionally striped), `legacy` (the
+//! 2019 name-hiding protocol) — sharing this hub's report, configs,
+//! workload zone, and the `OriginNode` authoritative responder.
 
 use std::cell::RefCell;
 use std::collections::HashSet;

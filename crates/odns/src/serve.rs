@@ -8,7 +8,7 @@
 //! Knowledge tables are a function of three things: the entity/key
 //! layout, key grants, and the labels observed at delivery. All three
 //! come from code shared verbatim with the simulator —
-//! [`scenario::odoh::plan_world`] builds the layout and
+//! `scenario::odoh::plan_world` builds the layout and
 //! `envelope_label`/`response_label`/`origin_query_label` build the
 //! labels — so a loopback serve run's `KnowledgeFingerprint` is
 //! byte-identical to its simulated twin's even though the ciphertext
@@ -254,7 +254,7 @@ impl WireRole for ServeOrigin {
 
 /// Build the servable ODoH wiring: the same world layout, keys, and
 /// workload as the simulated run with this `cfg` and `seed` (via the
-/// shared [`plan_world`]), with each role boxed for `dcp-serve`.
+/// shared `plan_world`), with each role boxed for `dcp-serve`.
 ///
 /// Role order defines peer ids: proxy 0, target 1, origin 2, clients 3+.
 pub fn odoh_serve_spec(cfg: &OdohConfig, seed: u64) -> ServeSpec {

@@ -33,7 +33,7 @@
 //! The first frame on every connection is a CONNECT hello:
 //! `nonce:u64be ‖ sender:u16be`. In loopback mode the nonce must have
 //! been pre-registered (single-use) by the sending host on the shared
-//! [`LabelBus`] — a rogue local connection that invents a hello is
+//! `LabelBus` — a rogue local connection that invents a hello is
 //! poisoned and observes nothing. Verified data frames then pop exactly
 //! one label per frame from the bus's per-direction FIFO (valid because
 //! TCP preserves order within a connection, each directed pair uses one
@@ -97,7 +97,7 @@ pub struct ServeConfig {
     /// still binding, or briefly restarting, refuses the first connect;
     /// the host retries with backoff instead of failing the run, and a
     /// peer still unreachable after the budget is a typed
-    /// [`ServeError::DialExhausted`](crate::ServeError::DialExhausted).
+    /// [`ServeError::DialExhausted`].
     pub dial_attempts: u32,
     /// Base backoff between dial attempts; attempt `k` waits roughly
     /// `k × dial_backoff`, with ±50% seeded jitter so a herd of

@@ -1,7 +1,7 @@
 //! Checkpoint/resume for the population engine.
 //!
 //! A checkpoint is a complete, self-describing byte snapshot of an
-//! [`Engine`](crate::Engine): spec, topology, seed, RNG state, clock,
+//! [`Engine`]: spec, topology, seed, RNG state, clock,
 //! sequence counter, streaming stats, in-progress ingress batches, and
 //! every pending timer-wheel entry. Restoring and running to the end
 //! must produce a report byte-identical to a straight-through run — CI
